@@ -1,0 +1,12 @@
+"""Make ``repro`` (under ``src/``) and ``perfbench`` importable.
+
+Run from the repository root with ``python -m pytest perfbench/tests``.
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (ROOT, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
