@@ -8,14 +8,19 @@ round trips.  :func:`dtw_distance` is the user-facing rooted form.
 
 Two kernels implement the same recurrence:
 
-* a scalar row-by-row DP, fastest when the band is narrow (every engine
-  query in the paper's parameter range lands here);
+* a scalar row-by-row DP, fastest for one pair under a narrow band
+  (immediate retrieval verifies one candidate at a time, so in the
+  paper's parameter range it lands here);
 * an **anti-diagonal (wavefront) kernel**: cells on one anti-diagonal
   ``i + j = d`` have no mutual dependencies, so a whole diagonal is
   computed with vectorized NumPy ops.  :func:`dtw_pow_batch` runs the
   wavefront over a *batch* of candidate sequences against one query,
-  amortising per-diagonal overhead across the batch — the form the
-  ``repro bench`` kernel suite measures.
+  amortising per-diagonal overhead across the batch.  Deferred
+  retrieval verifies each storage-ordered flush this way, and the
+  ``repro bench`` kernel suite measures it.
+
+:func:`wavefront_pays` is the one rule that picks between them, for a
+single pair and for a batch alike.
 
 Both kernels evaluate each DP cell with the identical float64 operations
 (``cost + min(three neighbours)``), so for the default ``p == 2`` norm
@@ -45,13 +50,24 @@ from repro.exceptions import QueryError
 
 _INF = math.inf
 
-#: Minimum Sakoe–Chiba band width (in DP cells per row) before the
-#: wavefront kernel beats the scalar loop for a single pair.  Below
-#: this, per-diagonal NumPy call overhead dominates the handful of
-#: cells it vectorises; above it, the wavefront wins and keeps winning
-#: as the band grows.  Both kernels are bit-for-bit identical (p = 2),
-#: so the dispatch affects speed only.
-_WAVEFRONT_MIN_BAND = 128
+#: Minimum DP cells per wavefront step — batch lanes times the
+#: Sakoe–Chiba band width — before the wavefront kernel beats running
+#: the scalar loop once per lane.  Below this, per-diagonal NumPy call
+#: overhead dominates the handful of cells it vectorises; above it, the
+#: wavefront wins and keeps winning as lanes or band grow.  Both
+#: kernels are bit-for-bit identical (p = 2), so the dispatch affects
+#: speed only.
+_WAVEFRONT_MIN_CELLS = 128
+
+
+def wavefront_pays(lanes: int, length: int, rho: int) -> bool:
+    """Whether one wavefront pass beats ``lanes`` scalar DTW calls.
+
+    ``length`` is the candidate length and ``rho`` the warping width;
+    the band holds ``min(2 * rho + 1, length)`` cells per DP row.  With
+    one lane this is the single-pair dispatch of :func:`dtw_pow`.
+    """
+    return lanes * min(2 * rho + 1, length) >= _WAVEFRONT_MIN_CELLS
 
 
 def _as_list(values: Sequence[float]) -> list:
@@ -308,8 +324,8 @@ def dtw_pow(
 
     Notes
     -----
-    Dispatches between the scalar and wavefront kernels on the band
-    width (:data:`_WAVEFRONT_MIN_BAND`); both produce bit-identical
+    Dispatches between the scalar and wavefront kernels with
+    :func:`wavefront_pays` on one lane; both produce bit-identical
     values, so the dispatch is purely a speed decision.
     """
     if rho < 0:
@@ -323,8 +339,7 @@ def dtw_pow(
     if abs(n - m) > rho:
         return _INF
 
-    band = min(2 * rho + 1, m)
-    if band >= _WAVEFRONT_MIN_BAND:
+    if wavefront_pays(1, m, rho):
         return dtw_pow_wavefront(s, q, rho, p=p, threshold_pow=threshold_pow)
 
     qs = _as_list(q)

@@ -10,7 +10,10 @@ engine decides a candidate subsequence is worth looking at:
   retrieval;
 * the retrieval pipeline itself: fault candidate pages through the
   buffer pool, cascade ``LB_Keogh`` then early-abandoning ``DTW_rho``,
-  and offer survivors to the shared top-k collector.
+  and offer survivors to the shared top-k collector.  A deferred flush
+  retrieves all its candidates first, computes their DTW values in one
+  wavefront pass, then replays the cascade in storage order, so its
+  decisions are the ones a candidate-at-a-time drain would make.
 
 Keeping this in one place guarantees that all five engines measure
 candidates, page accesses, and prunes identically, so the benchmark
@@ -22,12 +25,12 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.control import ExecutionControl, certificate_from_pow
-from repro.core.distance import dtw_pow
+from repro.core.distance import dtw_pow, dtw_pow_batch, wavefront_pays
 from repro.core.envelope import Envelope
 from repro.core.lower_bounds import lb_keogh_pow
 from repro.core.metrics import QueryStats, StatsRecorder
@@ -230,6 +233,15 @@ class PartialResult(SearchResult):
         return math.isinf(self.certificate)
 
 
+class _Candidate(NamedTuple):
+    """One retrieved candidate awaiting the LB_Keogh -> DTW cascade."""
+
+    sid: int
+    start: int
+    values: np.ndarray
+    keogh_pow: float
+
+
 class CandidateEvaluator:
     """Retrieval, pruning, and top-k maintenance for one query run."""
 
@@ -358,6 +370,17 @@ class CandidateEvaluator:
         return self._evaluate_now(sid, start)
 
     def _evaluate_now(self, sid: int, start: int) -> Optional[float]:
+        candidate = self._retrieve(sid, start)
+        if candidate is None:
+            return None
+        return self._cascade(candidate)
+
+    def _retrieve(self, sid: int, start: int) -> Optional[_Candidate]:
+        """Fault one candidate in and price its LB_Keogh bound.
+
+        Returns ``None`` when a storage fault was tolerated under
+        ``on_fault="degrade"``.
+        """
         try:
             values = self._index.store.get_subsequence(
                 sid, start, self.query_length
@@ -372,22 +395,34 @@ class CandidateEvaluator:
             # and verification see the identical normalized array.
             mu, sigma = self.norm.stats(sid, start)
             values = znormalize(values, mu, sigma)
+        keogh_pow = lb_keogh_pow(self._envelope, values, self._config.p)
+        return _Candidate(sid, start, values, keogh_pow)
+
+    def _cascade(
+        self, candidate: _Candidate, distance_pow: Optional[float] = None
+    ) -> Optional[float]:
+        """The paper's per-candidate decisions against the live threshold.
+
+        ``distance_pow`` is the candidate's DTW value when a batch pass
+        already computed it; otherwise the scalar kernel runs here,
+        early-abandoning at the live threshold.
+        """
         threshold_pow = self.threshold_pow
         self.stats.lb_keogh_computations += 1
-        keogh_pow = lb_keogh_pow(self._envelope, values, self._config.p)
-        if keogh_pow > threshold_pow:
+        if candidate.keogh_pow > threshold_pow:
             self.stats.pruned_by_lb_keogh += 1
             if self.tracer.enabled:
                 self.tracer.metrics.counter("verify.lb_keogh_pruned").inc()
             return None
         self.stats.dtw_computations += 1
-        distance_pow = dtw_pow(
-            values,
-            self._query,
-            self._config.rho,
-            p=self._config.p,
-            threshold_pow=threshold_pow,
-        )
+        if distance_pow is None:
+            distance_pow = dtw_pow(
+                candidate.values,
+                self._query,
+                self._config.rho,
+                p=self._config.p,
+                threshold_pow=threshold_pow,
+            )
         if self.tracer.enabled:
             metrics = self.tracer.metrics
             metrics.counter("verify.dtw").inc()
@@ -396,16 +431,19 @@ class CandidateEvaluator:
             # outcome is the paper's DTW saving, so count it.
             if distance_pow > threshold_pow:
                 metrics.counter("verify.dtw_abandoned").inc()
-        self.collector.offer_pow(distance_pow, sid, start)
+        self.collector.offer_pow(distance_pow, candidate.sid, candidate.start)
         return distance_pow
 
     def flush(self) -> None:
         """Drain the deferred buffer (storage order, threshold re-check).
 
-        Checkpoints between retrievals; when an interrupt lands
-        mid-flush, the not-yet-retrieved requests are requeued before
-        the signal propagates so their lower bounds still feed
-        :meth:`pending_lower_bound_pow` (and thus the certificate).
+        Retrieves every surviving request first, checkpointing between
+        retrievals, then verifies the whole flush at once (see
+        :meth:`_verify_flush`).  When an interrupt lands mid-flush, the
+        candidates already retrieved are verified and the not-yet-
+        retrieved requests are requeued before the signal propagates, so
+        their lower bounds still feed :meth:`pending_lower_bound_pow`
+        (and thus the certificate).
         """
         if self._deferred is None or len(self._deferred) == 0:
             return
@@ -418,18 +456,60 @@ class CandidateEvaluator:
 
     def _drain_now(self) -> None:
         assert self._deferred is not None
-        requests = list(self._deferred.drain(threshold=self.threshold_pow))
-        if self.tracer.enabled:
-            self.tracer.metrics.histogram("deferred.batch_size").observe(
-                len(requests)
-            )
-        for position, request in enumerate(requests):
-            try:
-                self.control.checkpoint()
-            except ExecutionInterrupted:
-                self._deferred.requeue(requests[position:])
-                raise
-            self._evaluate(request.sid, request.start)
+        traced = self.tracer.enabled
+        fetched: List[_Candidate] = []
+        try:
+            for request in self._deferred.drain(
+                threshold=self.threshold_pow, checkpoint=self.control.checkpoint
+            ):
+                if traced:
+                    with self.tracer.span(
+                        "candidate.verify", sid=request.sid, start=request.start
+                    ):
+                        candidate = self._retrieve(request.sid, request.start)
+                else:
+                    candidate = self._retrieve(request.sid, request.start)
+                if candidate is not None:
+                    fetched.append(candidate)
+        finally:
+            self._verify_flush(fetched)
+
+    def _verify_flush(self, fetched: List[_Candidate]) -> None:
+        """Verify retrieved candidates, replaying the cascade in order.
+
+        The threshold only tightens while a flush is verified, so the
+        candidates whose LB_Keogh bound passes it *now* are a superset
+        of those the one-at-a-time cascade would run DTW on.  When
+        :func:`~repro.core.distance.wavefront_pays` for them, one
+        wavefront pass computes their DTW values at the current
+        threshold.  A value at or below any later threshold was never
+        abandoned and equals the scalar kernel's (bit for bit at p = 2,
+        to the kernel contract's 1e-9 relative otherwise); a larger one
+        (exact or abandoned) is rejected by the collector either way.  The
+        replay then makes, counts and offers every decision in storage
+        order against the live threshold, exactly as retrieving and
+        verifying one candidate at a time would.
+        """
+        threshold_pow = self.threshold_pow
+        lanes = [
+            position
+            for position, candidate in enumerate(fetched)
+            if candidate.keogh_pow <= threshold_pow
+        ]
+        batched: Dict[int, float] = {}
+        if wavefront_pays(len(lanes), self.query_length, self._config.rho):
+            batch = np.stack([fetched[position].values for position in lanes])
+            with self.tracer.span("verify.batch", lanes=len(lanes)):
+                values = dtw_pow_batch(
+                    batch,
+                    self._query,
+                    self._config.rho,
+                    p=self._config.p,
+                    threshold_pow=threshold_pow,
+                )
+            batched = dict(zip(lanes, values.tolist()))
+        for position, candidate in enumerate(fetched):
+            self._cascade(candidate, batched.get(position))
 
     def pending_lower_bound_pow(self) -> float:
         """Smallest lower bound (p-th power) among deferred requests.

@@ -15,7 +15,7 @@ accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional
+from typing import Any, Callable, Iterator, List, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
@@ -124,16 +124,6 @@ class DeferredRetrievalBuffer:
         self._pending.append(request)
         self.stats.requests_added += 1
 
-    def requeue(self, requests: List[CandidateRequest]) -> None:
-        """Put drained-but-unprocessed requests back (interrupt recovery).
-
-        Used when a budget/deadline interrupt lands mid-flush: the
-        remaining requests return to the buffer so their lower bounds
-        still count toward the exactness certificate.  Not counted as
-        new additions in :attr:`stats`.
-        """
-        self._pending.extend(requests)
-
     def min_pending_lower_bound(self) -> float:
         """Smallest admitted lower bound among pending requests.
 
@@ -146,7 +136,9 @@ class DeferredRetrievalBuffer:
         return min(request.lower_bound for request in self._pending)
 
     def drain(
-        self, threshold: Optional[float] = None
+        self,
+        threshold: Optional[float] = None,
+        checkpoint: Optional[Callable[[], None]] = None,
     ) -> Iterator[CandidateRequest]:
         """Yield pending requests in storage order and empty the buffer.
 
@@ -157,17 +149,38 @@ class DeferredRetrievalBuffer:
             exceeds it are dropped (counted in ``requests_skipped``) —
             the candidate was admitted under a looser ``delta_cur`` than
             the current one, so retrieving it cannot improve the top-k.
+        checkpoint:
+            Called before each request is handed out.  When it raises (a
+            budget, deadline or cancellation interrupt), that request and
+            every later one go back into the buffer before the exception
+            propagates, so their lower bounds still count toward the
+            exactness certificate.  A request is counted in
+            ``requests_drained`` only when it is handed out, so one that
+            is put back and drained by a later flush counts once.
         """
         pending, self._pending = self._pending, []
         self.stats.flushes += 1
         pending.sort(key=lambda request: request.sort_key)
         traced = self.tracer.enabled
+        survivors: List[CandidateRequest] = []
         for request in pending:
             if threshold is not None and request.lower_bound > threshold:
                 self.stats.requests_skipped += 1
                 if traced:
                     self.tracer.metrics.counter("deferred.skipped").inc()
                 continue
+            survivors.append(request)
+        if traced:
+            self.tracer.metrics.histogram("deferred.batch_size").observe(
+                len(survivors)
+            )
+        for position, request in enumerate(survivors):
+            if checkpoint is not None:
+                try:
+                    checkpoint()
+                except BaseException:
+                    self._pending.extend(survivors[position:])
+                    raise
             self.stats.requests_drained += 1
             if traced:
                 self.tracer.metrics.counter("deferred.drained").inc()
